@@ -161,7 +161,7 @@ def bench_cell(n_domains, backend, clusters=64, seed=0, verbose=False):
 
     start = time.perf_counter()
     service = ServingService(build_model("mlp", dataset, seed=seed))
-    snapshot = service.publish(space, dataset=dataset)
+    snapshot = service.publish(space)
     result["publish_s"] = round(time.perf_counter() - start, 4)
     stats = snapshot.cow_stats()
     result["snapshot_unique_states"] = stats["unique_states"]

@@ -51,6 +51,7 @@ import numpy as np
 from ..tooling import sanitizer as _sanitizer
 from ..utils import profiling
 from . import _tracing
+from .functional import check_index_range
 from .module import Parameter
 from .optim import SGD, Adam
 from .sparse import SparseGrad, accumulate_grad, sparse_grads_enabled
@@ -317,6 +318,8 @@ class _TapeBuilder:
             self.stage(indices)
 
             def run(buf=buf, matrix=matrix, idx=indices):
+                # Replay skips F.fixed_gather, so its guard lives here.
+                check_index_range(idx, matrix.shape[0], "feature row")
                 np.copyto(buf, matrix[idx])
 
         else:  # pragma: no cover - tracer and builder move in lockstep
@@ -856,13 +859,12 @@ def _fwd_embedding(b, rec):
     w = b.slot_for(rec.parents[0])
     env, buf, indices = b.env, rec.out.data, rec.aux["indices"]
     b.stage(indices)
-    table_rows = np.uint64(rec.parents[0].data.shape[0])
+    table_rows = rec.parents[0].data.shape[0]
 
     def run():
-        # Same single-scan validation as Embedding.forward: replay skips
-        # the module layer, so the guard must live in the kernel.
-        if indices.size and (indices.view(np.uint64) >= table_rows).any():
-            raise IndexError(f"embedding index out of range [0, {table_rows})")
+        # Same validation as Embedding.forward: replay skips the module
+        # layer, so the guard must live in the kernel.
+        check_index_range(indices, table_rows)
         np.copyto(buf, env[w][indices])
 
     return run

@@ -32,6 +32,7 @@ __all__ = [
     "stack",
     "embedding",
     "fixed_gather",
+    "check_index_range",
     "linear",
     "fused_dense",
     "bce_with_logits",
@@ -163,6 +164,17 @@ def embedding(weight, indices):
     return node
 
 
+def check_index_range(indices, rows, what="embedding"):
+    """Raise ``IndexError`` unless every int64 id lies in ``[0, rows)``.
+
+    Single scan: reinterpreting int64 as uint64 maps negative ids above any
+    valid row count, so one comparison catches both out-of-range
+    directions.  Without it numpy would wrap ``-1`` to the last row.
+    """
+    if indices.size and (indices.view(np.uint64) >= np.uint64(rows)).any():
+        raise IndexError(f"{what} index out of range [0, {rows})")
+
+
 def fixed_gather(matrix, indices):
     """Rows ``indices`` of a frozen (non-trainable) feature matrix.
 
@@ -173,6 +185,7 @@ def fixed_gather(matrix, indices):
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
+    check_index_range(indices, matrix.shape[0], "feature row")
     out = Tensor(matrix[indices])
     if _tracing.TRACER is not None:
         _tracing.TRACER.fixed_gather(out.data, matrix, indices)

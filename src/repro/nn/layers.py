@@ -110,15 +110,7 @@ class Embedding(Module):
 
     def forward(self, indices):
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        # Single-scan validation: reinterpreting int64 as uint64 maps
-        # negative ids above any valid table size, so one clipped comparison
-        # catches both out-of-range directions (vs. the old min()+max()).
-        if indices.size and (
-            indices.view(np.uint64) >= np.uint64(self.num_embeddings)
-        ).any():
-            raise IndexError(
-                f"embedding index out of range [0, {self.num_embeddings})"
-            )
+        F.check_index_range(indices, self.num_embeddings)
         return F.embedding(self.weight, indices)
 
 

@@ -29,18 +29,6 @@ class Parameter(Tensor):
         # sanitizer trace an in-place view mutation back to this tensor.
         _sanitizer.register_owner(self.data, self)
 
-    def assign_rows(self, rows, values):
-        """Scatter ``values`` into ``rows`` of this parameter in place.
-
-        The serving row-path (``repro.serving``) refreshes only the
-        embedding rows a request batch actually reads, instead of loading
-        the whole table per domain switch; this is the sanctioned engine
-        entry point for that partial write (version counters stay
-        truthful, unlike an ad-hoc ``param.data[rows] = ...``).
-        """
-        self.data[rows] = np.asarray(values, dtype=np.float64)
-        self.bump_version()
-
 
 class Module:
     """Base class for all models and layers.
@@ -102,21 +90,19 @@ class Module:
             (name, param.data.copy()) for name, param in self.named_parameters()
         )
 
-    def load_state_dict(self, state, names=None):
-        """Copy arrays from ``state`` into the matching parameters.
+    def load_state_dict(self, state, copy=True):
+        """Load arrays from ``state`` into the matching parameters.
 
         Raises ``KeyError`` on missing entries and ``ValueError`` on shape
         mismatch — silent partial loads hide bugs in meta-learning code.
 
-        ``names`` optionally restricts the load to a subset of parameter
-        names (an *explicit* partial load).  The serving hot path uses this
-        to refresh the small dense parameters on a domain switch while
-        embedding tables are refreshed row-wise through
-        :meth:`Parameter.assign_rows`.
+        ``copy=True`` gives every parameter a private copy (training).
+        ``copy=False`` binds the caller's float64 arrays themselves: serving
+        binds the read-only arrays of a published snapshot per batch this
+        way, so a domain switch costs no copy.  A bound array still belongs
+        to the caller; a read-only one makes any in-place update raise.
         """
         for name, param in self.named_parameters():
-            if names is not None and name not in names:
-                continue
             if name not in state:
                 raise KeyError(f"state dict is missing parameter {name!r}")
             value = np.asarray(state[name], dtype=np.float64)
@@ -126,7 +112,7 @@ class Module:
                     f"expected {param.data.shape}, got {value.shape}"
                 )
             previous = param.data
-            param.data = value.copy()
+            param.data = value.copy() if copy else value
             param.bump_version()
             _sanitizer.rebind_owner(param, previous)
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils import profiling
+from .functional import check_index_range
 from .module import Parameter
 from .tensor import _stable_sigmoid
 
@@ -767,6 +768,8 @@ class VectorTape:
             self._bufmap[id(orig)] = buf
 
             def run(buf=buf, matrix=matrix, idx=idx):
+                # Replay skips F.fixed_gather, so its guard lives here.
+                check_index_range(idx, matrix.shape[0], "feature row")
                 np.copyto(buf, matrix[idx])
 
         elif kind == "reduce_max":

@@ -21,6 +21,11 @@ per-domain batches under a two-knob policy:
 Batches are per-domain because every row of a batch must be scored under
 the same parameters ``Θ_i``.  The clock is injectable so flush policies
 are unit-testable without sleeping.
+
+A batch whose scoring raises is not lost: every request in it completes
+with the exception as its ``error`` and no ``result``.  The call that
+triggered the flush does not raise, since the batch may hold other
+callers' requests; ``requests == rows_scored + failed + pending()``.
 """
 
 from __future__ import annotations
@@ -52,10 +57,11 @@ class BatchingPolicy:
 
 
 class PendingRequest:
-    """One in-flight request; ``result`` is set when its batch flushes."""
+    """One in-flight request; ``result`` (or ``error``) is set when its
+    batch flushes."""
 
     __slots__ = ("user", "item", "domain", "enqueued_at", "completed_at",
-                 "result")
+                 "result", "error")
 
     def __init__(self, user, item, domain, enqueued_at):
         self.user = int(user)
@@ -64,6 +70,7 @@ class PendingRequest:
         self.enqueued_at = enqueued_at
         self.completed_at = None
         self.result = None
+        self.error = None
 
     @property
     def done(self):
@@ -82,8 +89,8 @@ class MicroBatcher:
 
     ``score_batch(users, items, domain)`` is the downstream scorer — in the
     service wiring, :meth:`repro.serving.service.Predictor.predict_batch`.
-    ``on_complete(request)`` is invoked per finished request (the service
-    hooks its latency recorder here).
+    ``on_complete(request)`` is invoked per finished request, failed ones
+    included (the service hooks its latency recorder here).
     """
 
     def __init__(self, policy, score_batch, clock=time.perf_counter,
@@ -100,6 +107,7 @@ class MicroBatcher:
         self.wait_flushes = 0
         self.forced_flushes = 0
         self.rows_scored = 0
+        self.failed = 0
 
     # ------------------------------------------------------------------
     # Intake
@@ -173,15 +181,25 @@ class MicroBatcher:
                             count=len(queue))
         items = np.fromiter((r.item for r in queue), dtype=np.int64,
                             count=len(queue))
-        scores = self._score_batch(users, items, domain)
+        error = None
+        try:
+            scores = self._score_batch(users, items, domain)
+        except Exception as exc:
+            scores, error = [None] * len(queue), exc
         completed_at = self._clock()
         for request, score in zip(queue, scores):
-            request.result = float(score)
+            if error is None:
+                request.result = float(score)
+            else:
+                request.error = error
             request.completed_at = completed_at
             if self._on_complete is not None:
                 self._on_complete(request)
+        if error is None:
+            self.rows_scored += len(queue)
+        else:
+            self.failed += len(queue)
         self.batches += 1
-        self.rows_scored += len(queue)
         if reason == "size":
             self.size_flushes += 1
         elif reason == "wait":
@@ -200,8 +218,10 @@ class MicroBatcher:
             "wait_flushes": self.wait_flushes,
             "forced_flushes": self.forced_flushes,
             "rows_scored": self.rows_scored,
+            "failed": self.failed,
             "mean_batch_size": (
-                self.rows_scored / self.batches if self.batches else 0.0
+                (self.rows_scored + self.failed) / self.batches
+                if self.batches else 0.0
             ),
             "pending": self.pending(),
         }

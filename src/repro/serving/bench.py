@@ -98,8 +98,7 @@ def make_request_stream(dataset, n_requests, seed=0):
     """(users, items, domains) arrays with heavy-tailed popularity.
 
     Domains, users and items are all zipf-weighted — a few hot domains and
-    head ids dominate, which is exactly the regime the static cache tier
-    is built for.
+    head ids dominate, as in production CTR traffic.
     """
     import numpy as np
 
@@ -178,7 +177,7 @@ def run_serve_bench(batch_sizes=(1, 8, 32), n_requests=1500, seed=0,
             model,
             policy=BatchingPolicy(max_batch_size=batch_size, max_wait_us=500.0),
         )
-        snapshot = service.publish(space, dataset=dataset)
+        snapshot = service.publish(space)
         parity_before = check_parity(service, space, dataset, seed=seed)
         service.reset_stats()
 
@@ -193,13 +192,11 @@ def run_serve_bench(batch_sizes=(1, 8, 32), n_requests=1500, seed=0,
         elapsed = time.perf_counter() - start
 
         # Hot reload mid-service: republish and require parity immediately.
-        reloaded = service.publish(space, dataset=dataset)
+        reloaded = service.publish(space)
         parity_after = check_parity(service, space, dataset, seed=seed)
 
         stats = service.stats()
         latency = stats["latency"]
-        cache = stats["embedding_cache"]
-        hit_rates = [entry["hit_rate"] for entry in cache.values()]
         results[f"bs={batch_size}"] = {
             "max_batch_size": batch_size,
             "requests": n_requests,
@@ -209,9 +206,6 @@ def run_serve_bench(batch_sizes=(1, 8, 32), n_requests=1500, seed=0,
             "p95_ms": latency.get("p95_ms"),
             "p99_ms": latency.get("p99_ms"),
             "mean_batch_size": stats["batcher"]["mean_batch_size"],
-            "cache_hit_rate": (
-                sum(hit_rates) / len(hit_rates) if hit_rates else None
-            ),
             "snapshot_version": reloaded.version,
             "published_version": snapshot.version,
             "parity": bool(parity_before and parity_after),
@@ -241,14 +235,12 @@ def render_serve_bench(record):
             f"{entry['p50_ms']:.3f}",
             f"{entry['p99_ms']:.3f}",
             f"{entry['mean_batch_size']:.1f}",
-            "-" if entry["cache_hit_rate"] is None
-            else f"{entry['cache_hit_rate']:.3f}",
             "ok" if entry["parity"] else "FAIL",
         ]
         for key, entry in record["settings"].items()
     ]
     return format_table(
-        ["Setting", "QPS", "p50 ms", "p99 ms", "Batch", "Hit rate", "Parity"],
+        ["Setting", "QPS", "p50 ms", "p99 ms", "Batch", "Parity"],
         rows,
         title=f"serve-bench on {record['dataset']} "
               f"({record['n_requests']} requests)",

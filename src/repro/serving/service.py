@@ -6,18 +6,12 @@ queries with **bit-identical** results to offline
 ``space.load_combined(model, d); model.predict(batch)`` — the serving path
 changes where parameters come from, never their values.
 
-Two parameter paths exist, chosen automatically:
-
-* **full path** — on a (version, domain) switch the whole combined state is
-  loaded.  Always available; the only option for models without id
-  embedding tables (e.g. the fixed-feature Taobao encoders).
-* **row path** — dense (non-embedding) parameters are loaded on a
-  (version, domain) switch, while embedding *rows* are fetched per batch
-  through the serve-side :class:`ServingEmbeddingCache` and scattered into
-  the table via ``Parameter.assign_rows``.  The forward pass only reads the
-  rows of the current batch, so refreshing exactly those rows is
-  sufficient — per-request work is O(batch), not O(table), which is what
-  lets one worker serve many domains over huge id spaces (Section IV-E).
+There is one parameter path: every batch binds each model parameter to the
+read-only snapshot array of the batch's domain (``load_state_dict(...,
+copy=False)``) and runs the model's own ``predict``.  A bind is a few
+pointer swaps, so a domain switch or a hot reload costs no copy and no
+row scatter, and no memo of "what is loaded" can go stale — two
+predictors may even share one model.
 
 :class:`ServingService` wires a Predictor to the
 :class:`~repro.serving.batcher.MicroBatcher` and a latency recorder whose
@@ -31,10 +25,8 @@ import time
 import numpy as np
 
 from ..data.batching import Batch
-from ..distributed.worker import embedding_field_map
 from ..utils import profiling
 from .batcher import BatchingPolicy, MicroBatcher
-from .embedding_cache import ServingEmbeddingCache, training_access_counts
 from .snapshots import SnapshotStore
 
 __all__ = ["LatencyRecorder", "Predictor", "ServingService"]
@@ -83,35 +75,14 @@ class LatencyRecorder:
 class Predictor:
     """Scores per-domain requests against the current snapshot."""
 
-    def __init__(self, model, store, field_map=None, use_row_cache=True,
-                 static_cache_capacity=256, dynamic_cache_capacity=2048):
+    def __init__(self, model, store):
         self._model = model
         self._store = store
-        self._params = dict(model.named_parameters())
-        if field_map is None:
-            try:
-                field_map = embedding_field_map(model)
-            except ValueError:
-                field_map = {}
-        unknown = set(field_map) - set(self._params)
-        if unknown:
-            raise KeyError(
-                f"field map references unknown parameters: {sorted(unknown)}"
-            )
-        self.field_map = dict(field_map)
-        self.use_row_cache = bool(use_row_cache) and bool(self.field_map)
-        self._dense_names = frozenset(
-            name for name in self._params if name not in self.field_map
-        )
-        self._static_capacity = static_cache_capacity
-        self._dynamic_capacity = dynamic_cache_capacity
-        self._loaded = None          # (version, domain) currently in the model
-        self._caches = {}            # (name, domain) -> ServingEmbeddingCache
-        self._cache_version = None
+        # The model's arrays at construction, rebound by ``release``.
+        self._own_state = {
+            name: param.data for name, param in model.named_parameters()
+        }
 
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
     def predict_batch(self, users, items, domain):
         """Click probabilities for a homogeneous-domain batch."""
         users = np.asarray(users, dtype=np.int64)
@@ -120,7 +91,9 @@ class Predictor:
         # version even if a publish lands mid-batch (hot-swap atomicity).
         snapshot = self._store.current()
         start = profiling.tick()
-        self._prepare(snapshot, int(domain), users, items)
+        self._model.load_state_dict(
+            snapshot.state_for(int(domain)), copy=False
+        )
         batch = Batch(users, items, np.zeros(len(users)), int(domain))
         scores = self._model.predict(batch)
         profiling.tock("serving.score_batch", start)
@@ -131,128 +104,57 @@ class Predictor:
         """One request's click probability."""
         return float(self.predict_batch([user], [item], domain)[0])
 
-    def _prepare(self, snapshot, domain, users, items):
-        key = (snapshot.version, domain)
-        if not self.use_row_cache:
-            if self._loaded != key:
-                self._model.load_state_dict(snapshot.state_for(domain))
-                self._loaded = key
-            return
-        if self._loaded != key:
-            # Domain/version switch: refresh only the small dense
-            # parameters; embedding tables are refreshed row-wise below.
-            self._model.load_state_dict(
-                snapshot.state_for(domain), names=self._dense_names
-            )
-            self._loaded = key
-        fields = {"users": users, "items": items}
-        for name, field in self.field_map.items():
-            ids = fields[field]
-            rows = self._cache_for(snapshot, name, domain).fetch(ids)
-            self._params[name].assign_rows(ids, rows)
+    def release(self):
+        """Rebind the model's own arrays, dropping every snapshot reference.
 
-    def _cache_for(self, snapshot, name, domain):
-        if self._cache_version != snapshot.version:
-            # Row values belong to a version; a hot swap invalidates them.
-            self._caches = {}
-            self._cache_version = snapshot.version
-        cache = self._caches.get((name, domain))
-        if cache is None:
-            cache = ServingEmbeddingCache(
-                lambda ids, n=name, d=domain, s=snapshot: s.rows_for(n, d, ids),
-                static_ids=snapshot.static_row_ids(
-                    name, self._static_capacity
-                ),
-                capacity=self._dynamic_capacity,
-            )
-            self._caches[(name, domain)] = cache
-        return cache
-
-    def invalidate_caches(self):
-        """Drop row caches and the loaded-state memo.
-
-        The per-version caches hold closures over the snapshot they were
-        built against; a pool worker calls this before flipping to a new
-        shared-memory generation so no reference pins the old segment's
-        buffer (the next ``predict_batch`` rebuilds caches lazily).
+        After a batch the model still points at that batch's snapshot
+        arrays.  A pool worker calls this before flipping to a new
+        shared-memory generation, so no parameter pins the retired
+        segment's buffer and it closes on the first try.
         """
-        self._caches = {}
-        self._cache_version = None
-        self._loaded = None
+        self._model.load_state_dict(self._own_state, copy=False)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def cache_stats(self):
-        """Per-table cache counters aggregated over domains."""
-        aggregated = {}
-        for (name, _domain), cache in self._caches.items():
-            entry = aggregated.setdefault(name, {
-                "caches": 0, "static_hits": 0, "dynamic_hits": 0,
-                "misses": 0, "evictions": 0,
-            })
-            stats = cache.stats()
-            entry["caches"] += 1
-            for field in ("static_hits", "dynamic_hits", "misses",
-                          "evictions"):
-                entry[field] += stats[field]
-        for entry in aggregated.values():
-            hits = entry["static_hits"] + entry["dynamic_hits"]
-            total = hits + entry["misses"]
-            entry["hit_rate"] = hits / total if total else 0.0
-        return aggregated
+        """Always ``{}``: serving binds snapshot arrays, it keeps no cache."""
+        return {}
 
 
 class ServingService:
     """The online inference front door: predict, batch, reload, stats."""
 
-    def __init__(self, model, store=None, policy=None, field_map=None,
-                 use_row_cache=True, static_cache_capacity=256,
-                 dynamic_cache_capacity=2048, clock=time.perf_counter):
+    def __init__(self, model, store=None, policy=None,
+                 clock=time.perf_counter):
         self.store = store if store is not None else SnapshotStore()
-        self.predictor = Predictor(
-            model, self.store, field_map=field_map,
-            use_row_cache=use_row_cache,
-            static_cache_capacity=static_cache_capacity,
-            dynamic_cache_capacity=dynamic_cache_capacity,
-        )
+        self.predictor = Predictor(model, self.store)
         self.latency = LatencyRecorder()
         self._clock = clock
         self.batcher = MicroBatcher(
             policy if policy is not None else BatchingPolicy(),
             score_batch=self.predictor.predict_batch,
             clock=clock,
-            on_complete=lambda request: self.latency.observe(request.latency),
+            on_complete=self._observe,
         )
+
+    def _observe(self, request):
+        if request.error is None:
+            self.latency.observe(request.latency)
 
     # ------------------------------------------------------------------
     # Publishing / reloading
     # ------------------------------------------------------------------
-    def publish(self, space, dataset=None, access_counts=None, metadata=None):
+    def publish(self, space, dataset=None, metadata=None):
         """Publish a trained parameter space as the new live version.
 
-        When ``dataset`` is given (and the model has id-embedding tables),
-        per-row training access counts are derived from it so the serve
-        caches can pin their static sets (Figure 7's frequency ranking).
+        ``dataset`` is accepted for older callers and ignored: serving
+        keeps no row cache, so it needs no training access counts.
         """
-        if access_counts is None and dataset is not None:
-            field_map = self.predictor.field_map
-            if field_map:
-                sizes = {
-                    name: self.predictor._params[name].data.shape[0]
-                    for name in field_map
-                }
-                access_counts = training_access_counts(
-                    dataset, field_map, sizes
-                )
-        return self.store.publish(
-            space, access_counts=access_counts, metadata=metadata
-        )
+        return self.store.publish(space, metadata=metadata)
 
-    def publish_states(self, domain_states, default_state=None, **kwargs):
+    def publish_states(self, domain_states, default_state=None,
+                       metadata=None):
         """Publish explicit per-domain states (a trained ``StateBank``)."""
         return self.store.publish_states(
-            domain_states, default_state=default_state, **kwargs
+            domain_states, default_state=default_state, metadata=metadata
         )
 
     reload = publish
@@ -295,7 +197,6 @@ class ServingService:
             "version": version,
             "latency": self.latency.summary(),
             "batcher": self.batcher.stats(),
-            "embedding_cache": self.predictor.cache_stats(),
         }
 
     def reset_stats(self):

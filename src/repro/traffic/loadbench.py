@@ -334,8 +334,7 @@ def measure_pool_capacity(pool, trace, max_batch=32, max_inflight=None):
     }
 
 
-def check_pool_parity(pool, model, snapshots, trace, max_batch=32,
-                      predictor_kwargs=None):
+def check_pool_parity(pool, model, snapshots, trace, max_batch=32):
     """Bit-parity of pooled scoring across a hot reload under load.
 
     ``snapshots`` are published to the pool as successive generations;
@@ -345,7 +344,6 @@ def check_pool_parity(pool, model, snapshots, trace, max_batch=32,
     then compared bitwise against a fresh single-process
     :class:`Predictor` pinned to the generation the response reports.
     """
-    kwargs = dict(predictor_kwargs or {})
     batches = _batched(trace, max_batch)
     chunk = -(-len(batches) // len(snapshots))
 
@@ -360,7 +358,7 @@ def check_pool_parity(pool, model, snapshots, trace, max_batch=32,
     results = []
     for stage, snapshot in enumerate(snapshots):
         generation = pool.generation + 1
-        references[generation] = Predictor(model, _Pinned(snapshot), **kwargs)
+        references[generation] = Predictor(model, _Pinned(snapshot))
         # First publish waits (workers must attach before scoring);
         # later ones ride the queues behind in-flight batches.
         results.extend(pool.publish(snapshot, wait=stage == 0))
@@ -379,10 +377,6 @@ def check_pool_parity(pool, model, snapshots, trace, max_batch=32,
         generations_seen.add(generation)
         domain, positions = batches[batch_id]
         reference = references[generation]
-        # The reference predictors share one model; a predictor's
-        # loaded-state memo cannot see the others clobbering it, so force
-        # a full reload before every reference score.
-        reference.invalidate_caches()
         expected = reference.predict_batch(
             trace.users[positions], trace.items[positions], domain
         )

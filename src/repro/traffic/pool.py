@@ -3,14 +3,15 @@
 One Python process tops out around the serve-bench's single-process QPS;
 "heavy traffic from millions of users" needs N scoring processes.  The
 pool forks ``n_workers`` children, each running the *unchanged*
-:class:`~repro.serving.service.Predictor` — the same row path, the same
-caches — against a :class:`~repro.serving.snapshots.SharedSnapshotArena`:
-every published generation is materialized **once** into a shared-memory
-segment (θ_S stored once, zero-delta domains aliasing it, exactly the COW
-structure of the in-process store) and mapped zero-copy, read-only by
-every worker.  Because the bytes and the code path are identical, pooled
-responses are bit-identical to the single-process serving path — the
-parity property PR 3 established survives the process boundary.
+:class:`~repro.serving.service.Predictor` against a
+:class:`~repro.serving.snapshots.SharedSnapshotArena`: every published
+generation is materialized **once** into a shared-memory segment (θ_S
+stored once, zero-delta domains aliasing it, exactly the COW structure of
+the in-process store) and mapped zero-copy, read-only by every worker,
+whose model parameters bind those views directly.  Because the bytes and
+the code path are identical, pooled responses are bit-identical to the
+single-process serving path — serving parity survives the process
+boundary.
 
 Hot reload under load: :meth:`PredictorPool.publish` materializes the
 next generation's segment, then broadcasts a reload message through each
@@ -82,9 +83,9 @@ class _WorkerStore:
         previous, self._arena = self._arena, SharedSnapshotArena.attach(manifest)
         if previous is not None:
             self._retired.append(previous)
-        # Retire older mappings whose views have died (the predictor's
-        # caches were invalidated before the flip, so normally all of
-        # them close on the first try).
+        # Retire older mappings whose views have died (the predictor
+        # released its bound parameters before the flip, so normally all
+        # of them close on the first try).
         self._retired = [
             arena for arena in self._retired if not arena.close()
         ]
@@ -96,10 +97,10 @@ class _WorkerStore:
             self._arena.close()
 
 
-def _worker_main(worker_id, tasks, results, model, predictor_kwargs):
+def _worker_main(worker_id, tasks, results, model):
     """Forked child: attach, score, flip generations, report errors."""
     store = _WorkerStore()
-    predictor = Predictor(model, store, **predictor_kwargs)
+    predictor = Predictor(model, store)
     try:
         while True:
             message = tasks.recv()
@@ -109,7 +110,7 @@ def _worker_main(worker_id, tasks, results, model, predictor_kwargs):
                 break
             if kind == "reload":
                 manifest = message[1]
-                predictor.invalidate_caches()
+                predictor.release()
                 store.flip(manifest)
                 results.put(("reloaded", worker_id, manifest["generation"]))
             elif kind == "score":
@@ -128,6 +129,7 @@ def _worker_main(worker_id, tasks, results, model, predictor_kwargs):
     except Exception:
         results.put(("error", worker_id, traceback.format_exc()))
     finally:
+        predictor.release()
         store.detach()
         tasks.close()
 
@@ -149,9 +151,7 @@ class PredictorPool:
     parent's copy is never touched by pool scoring.
     """
 
-    def __init__(self, model, n_workers=2, use_row_cache=True,
-                 static_cache_capacity=256, dynamic_cache_capacity=2048,
-                 field_map=None):
+    def __init__(self, model, n_workers=2):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         if not fork_available():
@@ -162,12 +162,6 @@ class PredictorPool:
             )
         self._model = model
         self.n_workers = int(n_workers)
-        self._predictor_kwargs = {
-            "use_row_cache": use_row_cache,
-            "static_cache_capacity": static_cache_capacity,
-            "dynamic_cache_capacity": dynamic_cache_capacity,
-            "field_map": field_map,
-        }
         self._ctx = get_context("fork")
         self._procs = []
         self._task_pipes = []
@@ -198,8 +192,7 @@ class PredictorPool:
             parent_end, child_end = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(worker_id, child_end, self._results, self._model,
-                      self._predictor_kwargs),
+                args=(worker_id, child_end, self._results, self._model),
                 daemon=True,
             )
             proc.start()

@@ -150,6 +150,50 @@ class TestGuards:
         assert executor.traces == traces_before + 1
 
 
+class TestFixedGatherRange:
+    """Out-of-range feature rows raise, eager and replayed alike: numpy
+    would silently wrap ``-1`` to the last row's features."""
+
+    @pytest.mark.parametrize("bad", [-1, N_FIXED])
+    def test_eager_rejects_out_of_range_rows(self, bad):
+        with pytest.raises(IndexError, match="out of range"):
+            F.fixed_gather(FIXED_FEATURES, np.array([0, bad]))
+
+    @pytest.mark.parametrize("bad", [-1, N_FIXED])
+    def test_replay_rejects_out_of_range_rows(self, bad):
+        model = OmniModel()
+        optimizer = make_optimizer("sgd", model.parameters(), 0.05)
+        tape = executor_for(model).tape_for(make_batch(6, 0), optimizer)
+        batch = make_batch(6, 1)
+        batch.items[2] = bad
+        with pytest.raises(IndexError, match="out of range"):
+            tape.replay(batch, optimizer)
+
+    @pytest.mark.parametrize("bad", [-1, 40])
+    def test_vector_replay_rejects_out_of_range_rows(self, bad):
+        from repro.nn.vectorized import vector_tape_for
+
+        dataset = make_tiny_dataset()          # 40 fixed-feature items
+        model = build_model("mlp", dataset, seed=0)
+        optimizer = make_optimizer("sgd", model.parameters(), 0.05)
+        batches = [dataset.domain(d).train for d in (0, 1)]
+        batches = [
+            Batch(t.users[:8].copy(), t.items[:8].copy(),
+                  t.labels[:8].astype(np.float64), d)
+            for d, t in enumerate(batches)
+        ]
+        tape = executor_for(model).tape_for(batches[0], optimizer)
+        vt = vector_tape_for(tape, model, 2)
+        vt.set_lane_rngs([
+            [spawn_rng(lane, "compile", "lane") for lane in range(2)]
+            for _ in tape._rngs
+        ])
+        vt.replay(batches, vt.make_optimizer("sgd", 0.05))
+        batches[1].items[3] = bad
+        with pytest.raises(IndexError, match="out of range"):
+            vt.replay(batches, vt.make_optimizer("sgd", 0.05))
+
+
 class TestDeterminism:
     def test_dropout_streams_identical_under_replay(self):
         """Same seed, same batches: compiled and eager runs are one

@@ -150,7 +150,41 @@ def test_stats_accounting():
     assert stats["size_flushes"] == 1
     assert stats["wait_flushes"] == 1
     assert stats["rows_scored"] == 3
+    assert stats["failed"] == 0
     assert stats["mean_batch_size"] == pytest.approx(1.5)
+
+
+def test_failed_batch_completes_every_request_with_the_error():
+    """A scoring error must not lose the batch: every request in it is
+    completed with the error, and the accounting still balances."""
+    def scorer(users, items, domain):
+        if (users >= 10).any():
+            raise IndexError("embedding index out of range [0, 10)")
+        return users + items / 1000.0
+
+    completed = []
+    batcher = MicroBatcher(
+        BatchingPolicy(max_batch_size=3, max_wait_us=1000.0),
+        score_batch=scorer, clock=FakeClock(), on_complete=completed.append,
+    )
+    requests = [batcher.submit(u, 0, 1) for u in (1, 2)]
+    requests.append(batcher.submit(10, 0, 1))   # does not raise
+    assert all(r.done for r in requests)
+    assert completed == requests
+    for request in requests:
+        assert request.result is None
+        assert isinstance(request.error, IndexError)
+    # The scorer recovers for later batches.
+    ok = batcher.submit(3, 30, 1)
+    batcher.drain()
+    assert ok.result == pytest.approx(3.03) and ok.error is None
+    stats = batcher.stats()
+    assert stats["requests"] == 4
+    assert stats["failed"] == 3 and stats["rows_scored"] == 1
+    assert stats["pending"] == 0
+    assert stats["requests"] == (
+        stats["rows_scored"] + stats["failed"] + stats["pending"]
+    )
 
 
 def test_policy_validation():

@@ -320,7 +320,7 @@ class TestServingScope:
         assert rules_fired("""
             import numpy as np
             rows = table.astype(np.float32)
-        """, path="src/repro/serving/embedding_cache.py") == ["dtype-drift"]
+        """, path="src/repro/serving/snapshots.py") == ["dtype-drift"]
 
     def test_dtype_drift_clean_float64_in_serving(self):
         assert rules_fired("""

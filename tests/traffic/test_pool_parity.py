@@ -77,7 +77,6 @@ def test_pool_scores_bit_identical_to_single_process(serving_setup):
         pool.publish(snapshot_a)
         for domain in range(dataset.n_domains):
             pooled = pool.score(users[:32], items[:32], domain)
-            reference.invalidate_caches()
             expected = reference.predict_batch(users[:32], items[:32], domain)
             assert np.array_equal(pooled, np.asarray(expected))
 
@@ -136,3 +135,32 @@ def test_worker_processes_are_real(serving_setup):
         pids = pool.worker_pids()
         assert len(set(pids)) == 2
         assert os.getpid() not in pids
+
+
+def test_release_lets_a_flip_close_the_retired_arena(serving_setup):
+    """The worker's flip sequence, in process: after ``release`` no model
+    parameter pins the old generation, so its mapping closes at once."""
+    from repro.serving.snapshots import SharedSnapshotArena
+    from repro.traffic.pool import _WorkerStore
+
+    dataset, _, snapshot_a, snapshot_b, users, items = serving_setup
+    expected = Predictor(
+        build_model("mlp", dataset, seed=0), PinnedStore(snapshot_a)
+    ).predict_batch(users[:8], items[:8], 0)
+    model = build_model("mlp", dataset, seed=0)
+    arenas = [SharedSnapshotArena.materialize(snapshot, generation)
+              for generation, snapshot in enumerate((snapshot_a, snapshot_b))]
+    store = _WorkerStore()
+    predictor = Predictor(model, store)
+    try:
+        store.flip(arenas[0].manifest)
+        bound = predictor.predict_batch(users[:8], items[:8], 0)
+        assert np.array_equal(bound, expected)
+        predictor.release()
+        store.flip(arenas[1].manifest)
+        assert store._retired == []
+    finally:
+        predictor.release()
+        store.detach()
+        for arena in arenas:
+            arena.unlink()

@@ -17,7 +17,7 @@ per-domain delta dicts outside ``param_space.py`` is rejected by the
 
 from .clustering import domain_features, identity_plan, kmeans, plan_clusters
 from .config import TrainConfig
-from .mamdr import MAMDR
+from .mamdr import MAMDR, negotiation_rounds, regularization_pass
 from .onboarding import extend_bank, onboard_domain
 from .negotiation import DomainNegotiation, domain_negotiation_epoch
 from .param_space import (
@@ -48,6 +48,8 @@ __all__ = [
     # training frameworks + loops
     "TrainConfig",
     "MAMDR",
+    "negotiation_rounds",
+    "regularization_pass",
     "onboard_domain",
     "extend_bank",
     "DomainNegotiation",

@@ -30,9 +30,8 @@ from ..serving.service import ServingService
 from ..utils.seeding import spawn_rng
 from .clustering import plan_clusters
 from .config import TrainConfig
+from .mamdr import negotiation_rounds, regularization_pass
 from .param_space import ClusteredDomainStore, DomainParameterSpace
-from .negotiation import domain_negotiation_epoch
-from .regularization import domain_regularization_round
 from .trainer import make_inner_optimizer
 
 __all__ = [
@@ -89,18 +88,10 @@ def _train(model, dataset, space, rng):
     optimizer = make_inner_optimizer(model, BENCH_CONFIG)
     view, groups = space.training_plan(dataset)
     for _ in range(BENCH_CONFIG.epochs):
-        shared = space.shared
-        for _ in range(BENCH_CONFIG.dn_rounds):
-            shared = domain_negotiation_epoch(
-                model, view, shared, BENCH_CONFIG, rng, optimizer=optimizer
-            )
-        space.set_shared(shared)
-        for position, group in enumerate(groups):
-            delta = domain_regularization_round(
-                model, view, space, position, BENCH_CONFIG, rng,
-                delta=space.group_delta(group),
-            )
-            space.apply_delta(group, delta)
+        space.set_shared(negotiation_rounds(
+            model, view, space.shared, BENCH_CONFIG, rng, optimizer
+        ))
+        regularization_pass(model, view, space, groups, BENCH_CONFIG, rng)
     return len(groups)
 
 

@@ -19,7 +19,37 @@ from .regularization import domain_regularization_round
 from .selection import BestTracker, PerDomainTracker, model_split_auc
 from .trainer import make_inner_optimizer
 
-__all__ = ["MAMDR"]
+__all__ = ["MAMDR", "negotiation_rounds", "regularization_pass"]
+
+
+def negotiation_rounds(model, dataset, shared, config, rng, optimizer):
+    """Update θ_S with ``config.dn_rounds`` DN epochs (Algorithm 1).
+
+    The β-damped outer step advances ~β of an alternate epoch, so 1/β
+    rounds keep data-movement parity.  ``optimizer`` carries the inner
+    optimizer's slot state across rounds.  Returns the new θ_S; ``model``
+    is scratch space, as in :func:`domain_negotiation_epoch`.
+    """
+    for _ in range(config.dn_rounds):
+        shared = domain_negotiation_epoch(
+            model, dataset, shared, config, rng, optimizer=optimizer
+        )
+    return shared
+
+
+def regularization_pass(model, view, space, groups, config, rng):
+    """One DR round (Algorithm 2) per delta-sharing group, applied in place.
+
+    ``view, groups = space.training_plan(dataset)``: position ``p`` of
+    ``view`` is group ``groups[p]``, whose delta is trained and written
+    back before the next group's round starts.
+    """
+    for position, group in enumerate(groups):
+        delta = domain_regularization_round(
+            model, view, space, position, config, rng,
+            delta=space.group_delta(group),
+        )
+        space.apply_delta(group, delta)
 
 
 class MAMDR(LearningFramework):
@@ -67,20 +97,18 @@ class MAMDR(LearningFramework):
         per_domain_tracker = PerDomainTracker(dataset.n_domains)
         shared_tracker = BestTracker()
         shared_optimizer = make_inner_optimizer(model, config)
+        # Ablation without DN: plain alternate training (β = 1, one round).
+        dn_config = (config if self.use_dn
+                     else config.updated(outer_lr=1.0, dn_rounds=1))
 
         for _ in range(config.epochs):
-            shared = self._update_shared(
-                model, view, space.shared, config, rng, shared_optimizer
+            shared = negotiation_rounds(
+                model, view, space.shared, dn_config, rng, shared_optimizer
             )
             space.set_shared(shared)
 
             if self.use_dr:
-                for position, group in enumerate(groups):
-                    delta = domain_regularization_round(
-                        model, view, space, position, config, rng,
-                        delta=space.group_delta(group),
-                    )
-                    space.apply_delta(group, delta)
+                regularization_pass(model, view, space, groups, config, rng)
                 per_domain_tracker.update_from_space(model, dataset, space)
             else:
                 model.load_state_dict(shared)
@@ -95,19 +123,4 @@ class MAMDR(LearningFramework):
             model,
             {d: best_shared for d in range(dataset.n_domains)},
             default_state=best_shared,
-        )
-
-    def _update_shared(self, model, dataset, shared, config, rng, optimizer):
-        if self.use_dn:
-            # dn_rounds DN epochs: the β-damped outer step advances ~β of an
-            # alternate epoch, so 1/β rounds keep data-movement parity.
-            for _ in range(config.dn_rounds):
-                shared = domain_negotiation_epoch(
-                    model, dataset, shared, config, rng, optimizer=optimizer
-                )
-            return shared
-        # Ablation: plain alternate training (β = 1, no outer loop).
-        alternate_config = config.updated(outer_lr=1.0)
-        return domain_negotiation_epoch(
-            model, dataset, shared, alternate_config, rng, optimizer=optimizer
         )

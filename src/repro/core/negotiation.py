@@ -17,7 +17,6 @@ every domain's loss and ascends the pairwise gradient inner-products
 from __future__ import annotations
 
 from ..frameworks.base import LearningFramework, SingleModelBank
-from ..nn.compile import compile_context
 from ..nn.state import clone_state, state_interpolate_
 from ..utils.seeding import spawn_rng
 from .param_space import live_state_view
@@ -44,18 +43,17 @@ def domain_negotiation_epoch(model, dataset, shared_state, config, rng,
 
     domain_order = list(range(dataset.n_domains))
     rng.shuffle(domain_order)
-    with compile_context(config.compile_steps):
-        for domain_index in domain_order:
-            domain = dataset.domain(domain_index)
-            train_steps(
-                model,
-                getattr(domain, split),
-                domain_index,
-                optimizer,
-                rng,
-                config.batch_size,
-                config.inner_steps,
-            )
+    for domain_index in domain_order:
+        domain = dataset.domain(domain_index)
+        train_steps(
+            model,
+            getattr(domain, split),
+            domain_index,
+            optimizer,
+            rng,
+            config.batch_size,
+            config.inner_steps,
+        )
 
     # Eq. 3 without materializing model.state_dict(): interpolate the owned
     # clone toward a zero-copy view of the live parameters (one full-state
@@ -74,15 +72,15 @@ class DomainNegotiation(LearningFramework):
     name = "DN"
 
     def fit(self, model, dataset, config, seed=0):
+        from .mamdr import negotiation_rounds
+
         rng = spawn_rng(seed, "dn", dataset.name)
         shared = model.state_dict()
         tracker = BestTracker()
         optimizer = make_inner_optimizer(model, config)
         for _ in range(config.epochs):
-            for _ in range(config.dn_rounds):
-                shared = domain_negotiation_epoch(
-                    model, dataset, shared, config, rng, optimizer=optimizer
-                )
+            shared = negotiation_rounds(model, dataset, shared, config, rng,
+                                        optimizer)
             model.load_state_dict(shared)
             tracker.update(model_split_auc(model, dataset), shared)
         model.load_state_dict(tracker.best)

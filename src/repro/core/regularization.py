@@ -17,7 +17,6 @@ delta moves, matching Figure 4(b).
 from __future__ import annotations
 
 from ..frameworks.base import LearningFramework, StateBank
-from ..nn.compile import compile_context
 from ..nn.state import clone_state, state_add, state_interpolate_
 from ..utils.seeding import spawn_rng
 from .param_space import DomainParameterSpace
@@ -53,24 +52,23 @@ def domain_regularization_round(model, dataset, space, target, config, rng,
     helpers = sample_helper_domains(rng, dataset.n_domains, target, config.sample_k)
     target_table = getattr(dataset.domain(target), split)
 
-    with compile_context(config.compile_steps):
-        for helper in helpers:
-            # θ_i~ ← θ_i ; forward through θ_S + θ_i~ with a fresh inner
-            # optimizer.
-            model.load_state_dict(state_add(space.shared, delta))
-            optimizer = make_inner_optimizer(model, config)
+    for helper in helpers:
+        # θ_i~ ← θ_i ; forward through θ_S + θ_i~ with a fresh inner
+        # optimizer.
+        model.load_state_dict(state_add(space.shared, delta))
+        optimizer = make_inner_optimizer(model, config)
 
-            helper_table = getattr(dataset.domain(helper), split)
-            # Eq. 6: update on helper domain j ...
-            train_steps(model, helper_table, helper, optimizer, rng,
-                        config.batch_size, config.dr_steps)
-            # Eq. 7: ... then on the target domain i as the regularizer.
-            train_steps(model, target_table, target, optimizer, rng,
-                        config.batch_size, config.dr_steps)
+        helper_table = getattr(dataset.domain(helper), split)
+        # Eq. 6: update on helper domain j ...
+        train_steps(model, helper_table, helper, optimizer, rng,
+                    config.batch_size, config.dr_steps)
+        # Eq. 7: ... then on the target domain i as the regularizer.
+        train_steps(model, target_table, target, optimizer, rng,
+                    config.batch_size, config.dr_steps)
 
-            # Eq. 8: θ_i ← θ_i + γ (θ_i~ − θ_i), where θ_i~ = state − θ_S.
-            candidate = space.extract_delta(model)
-            state_interpolate_(delta, candidate, config.dr_lr)
+        # Eq. 8: θ_i ← θ_i + γ (θ_i~ − θ_i), where θ_i~ = state − θ_S.
+        candidate = space.extract_delta(model)
+        state_interpolate_(delta, candidate, config.dr_lr)
 
     return delta
 
@@ -88,6 +86,8 @@ class DomainRegularization(LearningFramework):
         self.store = store
 
     def fit(self, model, dataset, config, seed=0):
+        from .mamdr import regularization_pass
+
         rng = spawn_rng(seed, "dr", dataset.name)
         space = DomainParameterSpace(model, dataset.n_domains,
                                      store=self.store)
@@ -106,13 +106,7 @@ class DomainRegularization(LearningFramework):
                             config.batch_size, config.inner_steps)
             space.set_shared(model.state_dict())
 
-            for position, group in enumerate(groups):
-                new_delta = domain_regularization_round(
-                    model, view, space, position, config, rng,
-                    delta=space.group_delta(group),
-                )
-                space.apply_delta(group, new_delta)
-
+            regularization_pass(model, view, space, groups, config, rng)
             tracker.update_from_space(model, dataset, space)
 
         return StateBank(model, tracker.best_states(),

@@ -16,9 +16,10 @@ The Section IV-E production architecture, in-process and deterministic:
   exact resume;
 * :mod:`~repro.distributed.cluster` — the driver: sharding, scheduling,
   heartbeat-based eviction with greedy re-sharding, checkpoint/resume;
-* :mod:`~repro.distributed.parallel` — real multi-core fan-out: forked
-  worker processes replay the compiled step tape over domain shards,
-  talking to the driver's PS through a pipe-backed transport channel;
+* :mod:`~repro.distributed.parallel` — real multi-core fan-out of DR
+  rounds: forked worker processes each train a shard of DR targets and
+  send their deltas back (worker-count invariant; 1.26x at 2 workers
+  on a 2-vCPU host);
 * :mod:`~repro.distributed.vector` — single-core lane parallelism: all
   workers of a bulk-synchronous DN round (or all DR targets) replay as
   one lane-batched tape, bitwise-equal to the sequential reference.
@@ -31,13 +32,7 @@ from .cache import EmbeddingCache
 from .checkpoint import ClusterCheckpoint, load_checkpoint, save_checkpoint
 from .cluster import SimulatedCluster, reassign_domains, shard_domains
 from .faults import FaultPlan, WorkerCrashed
-from .parallel import (
-    PipeChannel,
-    RemoteWorkerError,
-    parallel_dn_epoch,
-    parallel_dr_rounds,
-    resolve_worker_count,
-)
+from .parallel import RemoteWorkerError, parallel_dr_rounds, resolve_worker_count
 from .ps import ParameterServer
 from .vector import sync_dn_round_reference, vector_dn_round, vector_dr_rounds
 from .transport import (
@@ -95,10 +90,8 @@ __all__ = [
     "SimulatedCluster",
     "shard_domains",
     "reassign_domains",
-    # multi-core parallel replay
-    "PipeChannel",
+    # multi-core DR fan-out
     "RemoteWorkerError",
-    "parallel_dn_epoch",
     "parallel_dr_rounds",
     "resolve_worker_count",
     # single-core lane-vectorized replay

@@ -1,8 +1,8 @@
 """Single-core lane-parallel DN/DR rounds via vectorized tape replay.
 
-:mod:`repro.distributed.parallel` fans MAMDR's bulk-synchronous rounds
-across forked worker *processes*; this module exploits the same
-independence on **one core**.  Every worker in a sync DN round pulls the
+:mod:`repro.distributed.parallel` fans DR rounds across forked worker
+*processes*; this module exploits the same independence on **one
+core**, for DR and for bulk-synchronous DN rounds.  Every worker in a sync DN round pulls the
 identical snapshot Θ and trains its shard without seeing the others until
 the barrier, and every DR target's helper pass starts from its own
 ``θ_S + θ_i`` — so instead of ``n`` processes, the ``n`` trajectories run
@@ -20,9 +20,9 @@ ragged lane schedules, exotic optimizers) raises
 :class:`~repro.nn.vectorized.VectorBail` internally and silently falls
 back to that reference, counting ``vector.bail`` in the active profile.
 
-RNG discipline mirrors the process pool exactly: DN lane ``w`` consumes
-``spawn_rng(seed, "pdn", w)`` for shuffles/batching and inherits the
-entry dropout streams (what a forked child would see); DR lane ``t``
+RNG discipline: DN lane ``w`` consumes ``spawn_rng(seed, "pdn", w)``
+for shuffles/batching and inherits the entry dropout streams (as worker
+``w`` of :func:`sync_dn_round_reference` does); DR lane ``t``
 consumes ``spawn_rng(seed, "pdr", t)`` and module streams keyed by
 ``(seed, "pdr", t, "module", name)`` — identical to
 :func:`repro.distributed.parallel._reseed_module_rngs`.
@@ -157,11 +157,10 @@ def _check_vectorizable(model, config):
 def vector_dn_round(model, dataset, shared_state, config, rng, n_workers=None):
     """One bulk-synchronous DN round, all workers replayed as lanes.
 
-    Semantically identical to :func:`~repro.distributed.parallel.
-    parallel_dn_epoch` in ``sync`` mode (and bitwise identical to
-    :func:`sync_dn_round_reference` with the same arguments): ``n``
-    workers pull Θ, train their shard's inner trajectory, and the PS
-    applies every ``Θ~_w − Θ`` with the β barrier step.  ``n_workers``
+    Semantically a ``SimulatedCluster`` ``sync``-mode round (and bitwise
+    identical to :func:`sync_dn_round_reference` with the same
+    arguments): ``n`` workers pull Θ, train their shard's inner
+    trajectory, and the PS applies every ``Θ~_w − Θ`` with the β barrier step.  ``n_workers``
     defaults to one lane per domain — the maximally vectorized fleet.
     Falls back to the sequential reference when the model/tape cannot be
     lane-vectorized.  Returns the new shared state; ``model`` is scratch.
@@ -208,8 +207,8 @@ def _reference_dn(model, dataset, shared_state, config, seed, n_lanes):
     field_map = embedding_field_map(model)
     ps.begin_sync_round()
     for worker_id, shard in enumerate(shards):
-        # Each lane starts exactly where a forked child would: model at Θ,
-        # dropout streams at their entry states.
+        # Each lane starts from the same point: model at Θ, dropout
+        # streams at their entry states.
         model.load_state_dict(shared_state)
         _restore_module_rngs(snaps)
         worker = Worker(

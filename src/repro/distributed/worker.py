@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from ..data.batching import iter_minibatches
-from ..nn.compile import active_executor, compile_context
+from ..nn.compile import active_executor
 from ..nn.layers import Embedding
 from ..nn.optim import make_optimizer
 from .cache import EmbeddingCache
@@ -130,15 +130,14 @@ class Worker:
 
         order = list(self.domain_indices)
         rng.shuffle(order)
-        with compile_context(getattr(self.config, "compile_steps", None)):
-            for domain_index in order:
-                domain = dataset.domain(domain_index)
-                for batch in iter_minibatches(
-                    domain.train, domain_index, self.config.batch_size,
-                    rng=rng, max_batches=self.config.inner_steps,
-                ):
-                    self._train_batch(batch)
-                self.client.heartbeat()
+        for domain_index in order:
+            domain = dataset.domain(domain_index)
+            for batch in iter_minibatches(
+                domain.train, domain_index, self.config.batch_size,
+                rng=rng, max_batches=self.config.inner_steps,
+            ):
+                self._train_batch(batch)
+            self.client.heartbeat()
 
         dense_delta = {
             name: self._named[name].data - static_dense[name]

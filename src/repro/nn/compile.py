@@ -60,7 +60,6 @@ from .tensor import _stable_sigmoid
 __all__ = [
     "CompileBail",
     "compiled_execution",
-    "compile_context",
     "compilation_enabled",
     "StepExecutor",
     "Tape",
@@ -87,18 +86,6 @@ def compiled_execution(enabled=True):
         yield
     finally:
         _COMPILED.reset(token)
-
-
-def compile_context(flag):
-    """Context manager for a tri-state compile flag.
-
-    ``None`` inherits the ambient setting (no-op context); ``True`` /
-    ``False`` force it.  This is how ``TrainConfig.compile_steps`` flows
-    into the DN/DR loops.
-    """
-    if flag is None:
-        return contextlib.nullcontext()
-    return compiled_execution(flag)
 
 
 def compilation_enabled():

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.negotiation import domain_negotiation_epoch
+from ..core.mamdr import negotiation_rounds, regularization_pass
 from ..core.param_space import DomainParameterSpace
-from ..core.regularization import domain_regularization_round
 from ..core.trainer import make_inner_optimizer
 from ..data.schema import Domain, InteractionTable, MultiDomainDataset
 from ..data.splits import temporal_split
@@ -287,12 +286,8 @@ class IncrementalTrainer:
         start = profiling.tick()
         shared = self._update_shared(view, key, rng)
         self.space.set_shared(shared)
-        for position, group in enumerate(groups):
-            delta = domain_regularization_round(
-                self.model, view, self.space, position, self.config, rng,
-                delta=self.space.group_delta(group),
-            )
-            self.space.apply_delta(group, delta)
+        regularization_pass(self.model, view, self.space, groups,
+                            self.config, rng)
         profiling.tock("online.update", start)
         states = self.space.all_combined()
         return OnlineUpdate(
@@ -302,14 +297,10 @@ class IncrementalTrainer:
 
     def _update_shared(self, dataset, key, rng):
         if self.backend == "local":
-            optimizer = make_inner_optimizer(self.model, self.config)
-            shared = self.space.shared
-            for _ in range(self.config.dn_rounds):
-                shared = domain_negotiation_epoch(
-                    self.model, dataset, shared, self.config, rng,
-                    optimizer=optimizer,
-                )
-            return shared
+            return negotiation_rounds(
+                self.model, dataset, self.space.shared, self.config, rng,
+                make_inner_optimizer(self.model, self.config),
+            )
         return self._update_shared_cluster(dataset, key)
 
     def _update_shared_cluster(self, dataset, key):

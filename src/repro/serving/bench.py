@@ -21,8 +21,8 @@ import pathlib
 from ..core import (
     DomainParameterSpace,
     TrainConfig,
-    domain_negotiation_epoch,
-    domain_regularization_round,
+    negotiation_rounds,
+    regularization_pass,
 )
 from ..core.trainer import make_inner_optimizer
 from ..data import DomainSpec, SyntheticConfig, generate_dataset, sample_batch
@@ -72,18 +72,10 @@ def train_space(model, dataset, config, seed=0, store=None):
     view, groups = space.training_plan(dataset)
     optimizer = make_inner_optimizer(model, config)
     for _ in range(config.epochs):
-        shared = space.shared
-        for _ in range(config.dn_rounds):
-            shared = domain_negotiation_epoch(
-                model, view, shared, config, rng, optimizer=optimizer
-            )
-        space.set_shared(shared)
-        for position, group in enumerate(groups):
-            delta = domain_regularization_round(
-                model, view, space, position, config, rng,
-                delta=space.group_delta(group),
-            )
-            space.apply_delta(group, delta)
+        space.set_shared(negotiation_rounds(
+            model, view, space.shared, config, rng, optimizer
+        ))
+        regularization_pass(model, view, space, groups, config, rng)
     return space
 
 

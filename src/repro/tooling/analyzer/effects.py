@@ -28,8 +28,9 @@ which of five effects it (or anything it calls) can perform:
 
 Effects propagate through the project call graph (fixpoint over
 :meth:`ProjectIndex.resolve_call`), so the audit can answer the real
-question: *by what path could* ``parallel_dn_epoch`` / ``parallel_dr_rounds``
-*results depend on worker count or scheduling?*  Every effect site is a
+question: *by what path could the results of the forked DR pool, the
+lane-vectorized DN/DR rounds, the simulated cluster or the incremental
+trainer* (:data:`ENTRY_POINTS`) *depend on worker count or scheduling?*  Every effect site is a
 :class:`Finding` (reviewed hits live in the committed baseline); any
 path from an entry point to a nondeterminism-relevant effect
 (``unseeded-rng``, ``iteration-order``, ``fork-unsafe-capture``) is
@@ -57,8 +58,11 @@ EFFECTS = (
 #: the functions whose worker-count/scheduling invariance the audit
 #: exists to protect, and the effects that would break it.
 ENTRY_POINTS = (
-    ("repro.distributed.parallel", "parallel_dn_epoch"),
     ("repro.distributed.parallel", "parallel_dr_rounds"),
+    ("repro.distributed.vector", "vector_dn_round"),
+    ("repro.distributed.vector", "vector_dr_rounds"),
+    ("repro.distributed.cluster", "SimulatedCluster.run"),
+    ("repro.online.trainer", "IncrementalTrainer.update"),
 )
 NONDETERMINISM = frozenset(
     {"unseeded-rng", "iteration-order", "fork-unsafe-capture"}

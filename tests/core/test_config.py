@@ -40,6 +40,15 @@ def test_updated_revalidates():
         TrainConfig().updated(outer_lr=2.0)
 
 
+def test_compile_steps_is_not_a_field():
+    """Compiled execution is switched by ``repro.nn.compiled_execution``
+    alone; the config carries no per-run compile knob."""
+    with pytest.raises(TypeError):
+        TrainConfig(compile_steps=True)
+    with pytest.raises(TypeError):
+        TrainConfig().updated(compile_steps=None)
+
+
 def test_joint_steps_per_epoch(tiny_dataset):
     explicit = TrainConfig(inner_steps=5)
     assert explicit.joint_steps_per_epoch(tiny_dataset) == 5

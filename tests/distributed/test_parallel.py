@@ -1,9 +1,8 @@
-"""Multi-core parallel replay runtime: worker-count determinism.
+"""Multi-core DR fan-out: worker-count determinism.
 
-``parallel_dn_epoch`` with one worker is exactly the sequential
-Algorithm 1 epoch; ``parallel_dr_rounds`` keys every target's RNG from
-``(seed, target)`` alone, so its result is byte-identical for *any*
-worker count — including the in-process reference path.
+``parallel_dr_rounds`` keys every target's RNG from ``(seed, target)``
+alone, so its result is byte-identical for *any* worker count —
+including the in-process reference path.
 """
 
 from __future__ import annotations
@@ -11,12 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TrainConfig, domain_negotiation_epoch
+from repro.core import TrainConfig
 from repro.core.param_space import DomainParameterSpace
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset
-from repro.distributed import parallel_dn_epoch, parallel_dr_rounds
+from repro.distributed import parallel_dr_rounds
 from repro.models import build_model
-from repro.utils.seeding import spawn_rng
 
 pytestmark = pytest.mark.compile_smoke
 
@@ -35,23 +33,6 @@ def assert_states_equal(reference, candidate):
     assert set(reference) == set(candidate)
     for name in reference:
         assert np.array_equal(reference[name], candidate[name]), name
-
-
-def test_single_worker_dn_is_the_sequential_epoch():
-    dataset = make_dataset(4)
-    config = TrainConfig(batch_size=8, inner_steps=2)
-    shared = build_model("mlp", dataset, seed=0).state_dict()
-
-    sequential = domain_negotiation_epoch(
-        build_model("mlp", dataset, seed=0), dataset,
-        {k: v.copy() for k, v in shared.items()}, config, spawn_rng(2, "dn"),
-    )
-    parallel = parallel_dn_epoch(
-        build_model("mlp", dataset, seed=0), dataset,
-        {k: v.copy() for k, v in shared.items()}, config, spawn_rng(2, "dn"),
-        n_workers=1,
-    )
-    assert_states_equal(sequential, parallel)
 
 
 def test_dr_rounds_worker_count_invariant():

@@ -1,10 +1,9 @@
 """Deprecated entrypoints must warn — and produce identical results.
 
-The transport redesign kept the old construction rituals alive as thin
-shims: ``SimulatedCluster.fit`` forwards to ``run``, and a ``Worker``
-built with a raw :class:`ParameterServer` silently wraps it in an
-in-process channel.  Each shim must emit a ``DeprecationWarning`` and be
-byte-identical to the supported path.
+The transport redesign kept an old construction ritual alive as a thin
+shim: a ``Worker`` built with a raw :class:`ParameterServer` silently
+wraps it in an in-process channel.  The shim must emit a
+``DeprecationWarning`` and be byte-identical to the supported path.
 """
 
 from __future__ import annotations
@@ -28,20 +27,6 @@ from repro.utils.seeding import spawn_rng
 
 def build_factory(dataset):
     return lambda worker_id: build_model("mlp", dataset, seed=0)
-
-
-def test_cluster_fit_warns_and_matches_run(tiny_dataset, fast_config):
-    factory = build_factory(tiny_dataset)
-    via_run = SimulatedCluster(n_workers=2).run(
-        factory, tiny_dataset, fast_config, seed=1
-    )
-    with pytest.deprecated_call():
-        via_fit = SimulatedCluster(n_workers=2).fit(
-            factory, tiny_dataset, fast_config, seed=1
-        )
-    assert state_checksum(via_fit.model.state_dict()) == state_checksum(
-        via_run.model.state_dict()
-    )
 
 
 def make_ps(dataset):

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TrainConfig, domain_negotiation_epoch
-from repro.core.regularization import domain_regularization_round
+from repro.core import TrainConfig, negotiation_rounds, regularization_pass
 from repro.core.param_space import DomainParameterSpace
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset
 from repro.data.batching import Batch
@@ -220,8 +219,10 @@ class TestDeterminism:
             assert np.array_equal(eager_state[name], compiled_state[name]), name
 
     def test_full_dn_dr_epoch_byte_identical(self):
-        """Tentpole acceptance: a full DN round plus a DR round produce
-        byte-identical loss curves and states, compiled vs eager."""
+        """Tentpole acceptance: a full MAMDR epoch — ``dn_rounds`` DN
+        rounds, then one DR round per domain — produces byte-identical
+        states compiled vs eager, and the compiled run really replays
+        through the executor while the eager run never touches it."""
         dataset = make_tiny_dataset()
         config = TrainConfig(batch_size=16, inner_steps=2, dr_steps=2,
                              sample_k=1)
@@ -229,23 +230,26 @@ class TestDeterminism:
         def run(compiled):
             model = build_model("mlp", dataset, seed=0)
             space = DomainParameterSpace(model, dataset.n_domains)
+            view, groups = space.training_plan(dataset)
             optimizer = make_optimizer(
                 config.inner_optimizer, model.parameters(), config.inner_lr
             )
-            shared = model.state_dict()
+            rng = spawn_rng(5, "epoch")
             with compiled_execution(compiled):
-                new_shared = domain_negotiation_epoch(
-                    model, dataset, shared, config, spawn_rng(5, "dn"),
-                    optimizer=optimizer,
-                )
-                delta = domain_regularization_round(
-                    model, dataset, space, 0, config, spawn_rng(5, "dr"),
-                )
-            return new_shared, delta
+                space.set_shared(negotiation_rounds(
+                    model, view, space.shared, config, rng, optimizer
+                ))
+                regularization_pass(model, view, space, groups, config, rng)
+            executor = executor_for(model)
+            return space.all_combined(), (executor.traces, executor.replays)
 
-        eager = run(False)
-        compiled = run(True)
-        for reference, candidate in zip(eager, compiled):
-            assert set(reference) == set(candidate)
-            for name in reference:
-                assert np.array_equal(reference[name], candidate[name]), name
+        eager, eager_steps = run(False)
+        compiled, (traces, replays) = run(True)
+        assert eager_steps == (0, 0)
+        assert traces > 0 and replays > traces
+        assert set(eager) == set(compiled) == set(range(dataset.n_domains))
+        for domain in eager:
+            for name in eager[domain]:
+                assert np.array_equal(
+                    eager[domain][name], compiled[domain][name]
+                ), (domain, name)

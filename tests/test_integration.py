@@ -47,7 +47,7 @@ def test_mamdr_beats_untrained_and_tracks_alternate(small_amazon):
 def test_distributed_quickstart(small_amazon):
     config = TrainConfig(epochs=3)
     cluster = SimulatedCluster(n_workers=2)
-    bank = cluster.fit(
+    bank = cluster.run(
         lambda wid: build_model("mlp", small_amazon, seed=7),
         small_amazon, config, seed=7,
     )

@@ -109,7 +109,7 @@ class TestForkCapture:
                 import multiprocessing as mp
                 import random
 
-                def parallel_dn_epoch(domains):
+                def parallel_dr_rounds(domains):
                     rng = random.Random(0)
 
                     def _worker(domain):
@@ -124,7 +124,7 @@ class TestForkCapture:
         })
         (capture,) = [f for f in findings if f.rule == "fork-unsafe-capture"]
         assert "'rng'" in capture.message
-        assert capture.symbol == "parallel_dn_epoch"
+        assert capture.symbol == "parallel_dr_rounds"
         rollups = [
             f for f in findings if f.rule == "entrypoint-nondeterminism"
         ]
@@ -135,7 +135,7 @@ class TestForkCapture:
             "src/repro/distributed/parallel.py": """
                 import multiprocessing as mp
 
-                def parallel_dn_epoch(domains, seed):
+                def parallel_dr_rounds(domains, seed):
                     def _worker(domain, worker_seed):
                         return worker_seed * domain
 
@@ -155,10 +155,11 @@ class TestInterprocedural:
         "src/repro/distributed/parallel.py": """
             from .pool import drain
 
-            def parallel_dn_epoch(domains):
-                return drain(domains)
-
             def parallel_dr_rounds(domains):
+                return drain(domains)
+        """,
+        "src/repro/distributed/vector.py": """
+            def vector_dr_rounds(domains):
                 return [sorted(d) for d in domains]
         """,
         "src/repro/distributed/pool.py": """
@@ -174,19 +175,19 @@ class TestInterprocedural:
     def test_effects_propagate_to_entry_point_with_witness_chain(self):
         findings, stats = audit_sources(**self.SOURCES)
         summary = stats["entry_points"][
-            "repro.distributed.parallel.parallel_dn_epoch"
+            "repro.distributed.parallel.parallel_dr_rounds"
         ]
-        assert summary["iteration-order"] == "parallel_dn_epoch -> drain"
+        assert summary["iteration-order"] == "parallel_dr_rounds -> drain"
         rollups = [
             f for f in findings if f.rule == "entrypoint-nondeterminism"
         ]
-        assert [f.symbol for f in rollups] == ["parallel_dn_epoch"]
-        assert "parallel_dn_epoch -> drain" in rollups[0].message
+        assert [f.symbol for f in rollups] == ["parallel_dr_rounds"]
+        assert "parallel_dr_rounds -> drain" in rollups[0].message
 
     def test_clean_entry_point_gets_no_rollup(self):
         _, stats = audit_sources(**self.SOURCES)
         assert stats["entry_points"][
-            "repro.distributed.parallel.parallel_dr_rounds"
+            "repro.distributed.vector.vector_dr_rounds"
         ] == {}
 
 
@@ -204,8 +205,11 @@ class TestRealRuntime:
         assert len(known) == len(findings)
         assert stats["functions"] > 50
         assert set(stats["entry_points"]) == {
-            "repro.distributed.parallel.parallel_dn_epoch",
             "repro.distributed.parallel.parallel_dr_rounds",
+            "repro.distributed.vector.vector_dn_round",
+            "repro.distributed.vector.vector_dr_rounds",
+            "repro.distributed.cluster.SimulatedCluster.run",
+            "repro.online.trainer.IncrementalTrainer.update",
         }
 
     def test_baseline_has_no_stale_entries(self):
